@@ -46,11 +46,12 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := titant.NewModelServer(tab, bundle, nil)
+	srv, err := titant.NewEngine(tab, bundle)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := srv.Score(&ds.Test[0])
+	defer srv.Close()
+	v, err := srv.Score(context.Background(), &ds.Test[0])
 	if err != nil {
 		t.Fatal(err)
 	}

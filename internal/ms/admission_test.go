@@ -319,16 +319,16 @@ func TestHTTPShedTyped429(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer statsResp.Body.Close()
-	var stats map[string]interface{}
+	var stats Stats
 	if err := json.NewDecoder(statsResp.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
 	}
-	adm, ok := stats["admission"].(map[string]interface{})
-	if !ok {
+	adm := stats.Admission
+	if adm == nil {
 		t.Fatal("/v1/stats has no admission section")
 	}
-	if adm["shed_quota"].(float64) < 1 || adm["shed_inflight"].(float64) < 1 {
-		t.Fatalf("admission stats = %v, want at least one shed on each gate", adm)
+	if adm.ShedQuota < 1 || adm.ShedInflight < 1 {
+		t.Fatalf("admission stats = %+v, want at least one shed on each gate", adm)
 	}
 	if !srv.Health().Admission {
 		t.Fatal("healthz does not report admission enabled")

@@ -228,14 +228,7 @@ func TestStatsEndpointUserCache(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body)
 	}
-	var body struct {
-		UserCache *struct {
-			Hits     int64 `json:"hits"`
-			Misses   int64 `json:"misses"`
-			Size     int   `json:"size"`
-			Capacity int   `json:"capacity"`
-		} `json:"user_cache"`
-	}
+	var body Stats
 	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
 		t.Fatal(err)
 	}

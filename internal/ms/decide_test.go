@@ -541,34 +541,22 @@ func TestStatsAndHealthSections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stats map[string]interface{}
+	var stats Stats
 	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	pol, ok := stats["policy"].(map[string]interface{})
-	if !ok || pol["version"] != "pol-1" || pol["decided"].(float64) < 1 {
-		t.Fatalf("policy section = %v", stats["policy"])
+	if pol := stats.Policy; pol == nil || pol.Version != "pol-1" || pol.Decided < 1 {
+		t.Fatalf("policy section = %+v", stats.Policy)
 	}
-	eps, ok := stats["endpoints"].(map[string]interface{})
-	if !ok {
-		t.Fatalf("endpoints section missing: %v", stats)
+	if dec, ok := stats.Endpoints["decide"]; !ok || dec.Count < 1 {
+		t.Fatalf("decide endpoint histogram = %+v", stats.Endpoints)
 	}
-	dec, ok := eps["decide"].(map[string]interface{})
-	if !ok || dec["count"].(float64) < 1 {
-		t.Fatalf("decide endpoint histogram = %v", eps["decide"])
+	if ing, ok := stats.Endpoints["ingest"]; !ok || ing.Count < 1 {
+		t.Fatalf("ingest endpoint histogram = %+v", stats.Endpoints)
 	}
-	ingStats, ok := eps["ingest"].(map[string]interface{})
-	if !ok || ingStats["count"].(float64) < 1 {
-		t.Fatalf("ingest endpoint histogram = %v", eps["ingest"])
-	}
-	drift, ok := stats["drift"].(map[string]interface{})
-	if !ok {
-		t.Fatalf("drift section missing: %v", stats)
-	}
-	series, ok := drift["series"].([]interface{})
-	if !ok || len(series) == 0 {
-		t.Fatalf("drift series = %v", drift)
+	if stats.Drift == nil || len(stats.Drift.Series) == 0 {
+		t.Fatalf("drift section = %+v", stats.Drift)
 	}
 	// Readiness body.
 	resp, err = http.Get(ts.URL + "/healthz")

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"titant/internal/decision"
-	"titant/internal/ms/usercache"
 	"titant/internal/telemetry"
 	"titant/internal/txn"
 )
@@ -137,7 +136,7 @@ func writeError(w http.ResponseWriter, status int, code, msg string) {
 
 // CheckBearer reports whether the request carries the given bearer token,
 // comparing in constant time. Daemons adding their own model-management
-// routes (e.g. cmd/msd's /reload) should guard them with the same check.
+// routes should guard them with the same check.
 func CheckBearer(r *http.Request, token string) bool {
 	return subtle.ConstantTimeCompare([]byte(r.Header.Get("Authorization")), []byte("Bearer "+token)) == 1
 }
@@ -214,7 +213,7 @@ type engineAPI interface {
 	currentPolicy() *decision.Policy
 	SetPolicy(p *decision.Policy) error
 	PolicyInfo() PolicyInfo
-	StatsBody() map[string]interface{}
+	Stats() Stats
 	MetricsBody() []byte
 	TraceBody() map[string]interface{}
 	Health() HealthInfo
@@ -253,8 +252,6 @@ type api struct {
 // decide routes answer 409 policy_disabled without WithPolicy, and
 // POST /v1/policy shares WithModelToken's guard with POST /v1/models (a
 // policy swap changes live risk decisions exactly as a model swap does).
-// The pre-v1 routes POST /score and GET /stats remain as deprecated
-// aliases.
 func (s *Server) Handler() http.Handler {
 	return (&api{
 		e: s, maxBatch: s.maxBatch,
@@ -290,9 +287,6 @@ func (a *api) handler() http.Handler {
 	mux.HandleFunc("/v1/debug/trace", a.handleDebugTrace)
 	mux.HandleFunc("/metrics", a.handleMetrics)
 	mux.HandleFunc("/healthz", a.handleHealthz)
-	// Deprecated pre-v1 aliases.
-	mux.HandleFunc("/score", a.handleScore)
-	mux.HandleFunc("/stats", a.handleStats)
 	return a.traceMiddleware(mux)
 }
 
@@ -644,129 +638,7 @@ func (a *api) handleStats(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "GET only")
 		return
 	}
-	writeJSON(w, http.StatusOK, a.e.StatsBody())
-}
-
-// Stats-section builders shared by Server.StatsBody and
-// ShardedEngine.StatsBody, so the two bodies cannot drift apart in shape.
-
-func cacheStatsBody(cs usercache.Stats) map[string]interface{} {
-	return map[string]interface{}{
-		"hits": cs.Hits, "misses": cs.Misses, "collapsed": cs.Collapsed,
-		"evictions": cs.Evictions, "invalidations": cs.Invalidations,
-		"negatives": cs.Negatives, "size": cs.Size, "capacity": cs.Capacity,
-	}
-}
-
-func policyStatsBody(version string, ds DecisionStats) map[string]interface{} {
-	return map[string]interface{}{
-		"version": version, "decided": ds.Decided,
-		"approved": ds.Approved, "challenged": ds.Challenged,
-		"denied": ds.Denied, "rule_overrides": ds.RuleOverrides,
-	}
-}
-
-func admissionStatsBody(as AdmissionStats) map[string]interface{} {
-	return map[string]interface{}{
-		"admitted": as.Admitted, "shed_quota": as.ShedQuota,
-		"shed_inflight": as.ShedInflight, "inflight": as.Inflight,
-		"max_inflight": as.MaxInflight, "rate": as.Rate,
-		"burst": as.Burst, "callers": as.Callers,
-	}
-}
-
-func shadowStatsBody(version string, sh decision.ShadowStats, queueDepth int) map[string]interface{} {
-	return map[string]interface{}{
-		"challenger_version": version,
-		"scored":             sh.Scored, "dropped": sh.Dropped,
-		"errors": sh.Errors, "agreed": sh.Agreed, "flipped": sh.Flipped,
-		"agreement": sh.Agreement, "mean_divergence": sh.MeanAbsDiff,
-		"queue_depth": queueDepth,
-	}
-}
-
-func driftStatsBody(series []decision.DriftStats) map[string]interface{} {
-	// One snapshot pass: the top-level alert derives from the same
-	// series the body reports, so the two cannot contradict.
-	alert := false
-	for i := range series {
-		alert = alert || series[i].Alert
-	}
-	return map[string]interface{}{
-		"alert":  alert,
-		"series": series,
-	}
-}
-
-// StatsBody builds the GET /v1/stats body. Every latency section carries
-// both human-readable microsecond percentiles and the raw nanosecond
-// histogram ("latency_hist" top-level, "hist" per endpoint): the raw
-// buckets let the wire router merge shard bodies losslessly — counts sum
-// and quantiles recompute, where merging pre-computed percentiles would
-// be meaningless. "shards" reports the engine's width (1 here).
-func (s *Server) StatsBody() map[string]interface{} {
-	st := s.Latency()
-	counts, total := s.hist.Snapshot()
-	max := s.hist.Max()
-	body := map[string]interface{}{
-		"scored": st.Count, "alerted": st.Alerted,
-		"p50_us": st.P50.Microseconds(), "p99_us": st.P99.Microseconds(),
-		"max_us": st.Max.Microseconds(), "version": s.BundleVersion(),
-		"shards":       1,
-		"latency_hist": telemetry.HistBody(s.hist.Bounds(), counts, total, max),
-	}
-	endpoints := map[string]interface{}{}
-	if s.StreamEnabled() {
-		body["ingested"] = s.Ingested()
-		endpoints["ingest"] = endpointStats(s.ingestHist)
-	}
-	if s.UserCacheEnabled() {
-		body["user_cache"] = cacheStatsBody(s.UserCacheStats())
-	}
-	if s.PolicyEnabled() {
-		body["policy"] = policyStatsBody(s.PolicyVersion(), s.DecisionStats())
-		endpoints["decide"] = endpointStats(s.decideHist)
-	}
-	if len(endpoints) > 0 {
-		body["endpoints"] = endpoints
-	}
-	if s.AdmissionEnabled() {
-		body["admission"] = admissionStatsBody(s.AdmissionStats())
-	}
-	if s.ShadowEnabled() {
-		body["shadow"] = shadowStatsBody(s.ShadowVersion(), s.ShadowStats(), s.ShadowQueueDepth())
-	}
-	if s.EventLogEnabled() {
-		es := s.EventLogStats()
-		body["eventlog"] = map[string]interface{}{
-			"appended": es.Appended, "fsyncs": es.Fsyncs, "bytes": es.Bytes,
-			"segments": es.Segments, "first_offset": es.FirstOffset,
-			"next_offset": es.NextOffset, "unsynced_bytes": es.UnsyncedBytes,
-			"last_fsync_age_seconds": es.LastFsyncAge,
-			"snapshot_end":           es.SnapshotEnd,
-			"max_consumer_lag":       es.MaxLag,
-			"replayed":               s.EventLogReplayed(),
-			"append_errors":          s.elogErrs.Load(),
-		}
-	}
-	if series := s.DriftStats(); series != nil {
-		body["drift"] = driftStatsBody(series)
-	}
-	return body
-}
-
-// endpointStats snapshots one per-endpoint latency histogram for the
-// stats body, percentiles plus the raw buckets the router merges by.
-func endpointStats(h *telemetry.Histogram) map[string]interface{} {
-	counts, total := h.Snapshot()
-	max := h.Max()
-	return map[string]interface{}{
-		"count":  total,
-		"p50_us": telemetry.Quantile(h.Bounds(), counts, total, max, 0.50).Microseconds(),
-		"p99_us": telemetry.Quantile(h.Bounds(), counts, total, max, 0.99).Microseconds(),
-		"max_us": max.Microseconds(),
-		"hist":   telemetry.HistBody(h.Bounds(), counts, total, max),
-	}
+	writeJSON(w, http.StatusOK, a.e.Stats())
 }
 
 // HealthInfo is the GET /healthz readiness body: which bundle and policy

@@ -258,13 +258,13 @@ func TestV1StatsAndHealth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stats map[string]interface{}
+	var stats Stats
 	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if stats["scored"].(float64) < 1 || stats["version"].(string) == "" {
-		t.Fatalf("stats = %v", stats)
+	if stats.Scored < 1 || stats.Version == "" {
+		t.Fatalf("stats = %+v", stats)
 	}
 
 	resp, err = http.Get(ts.URL + "/healthz")
@@ -276,22 +276,16 @@ func TestV1StatsAndHealth(t *testing.T) {
 		t.Fatalf("healthz = %d", resp.StatusCode)
 	}
 
-	// Deprecated pre-v1 aliases still answer.
-	resp, err = http.Post(ts.URL+"/score", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy /score = %d", resp.StatusCode)
-	}
-	resp, err = http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy /stats = %d", resp.StatusCode)
+	// The pre-v1 aliases are gone.
+	for _, path := range []string{"/score", "/stats"} {
+		resp, err = http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("retired %s = %d, want 404", path, resp.StatusCode)
+		}
 	}
 }
 

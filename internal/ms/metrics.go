@@ -22,10 +22,13 @@ func bool01(b bool) float64 {
 	return 0
 }
 
-// MetricsBody renders the engine's Prometheus text exposition.
+// MetricsBody renders the engine's Prometheus text exposition from the
+// same snapshot GET /v1/stats serves.
 func (s *Server) MetricsBody() []byte {
 	e := telemetry.NewExpo()
-	s.fillMetrics(e, true)
+	st := s.Stats()
+	s.fillMetrics(e, &st)
+	frontDoorMetrics(e, &st, s.adm)
 	e.Gauge("titant_engine_shards", "engine shard count", 1)
 	return e.Bytes()
 }
@@ -38,63 +41,42 @@ func (s *Server) MetricsBody() []byte {
 func (se *ShardedEngine) MetricsBody() []byte {
 	e := telemetry.NewExpo()
 	for i, s := range se.shards {
-		s.fillMetrics(e, false, "shard", strconv.Itoa(i))
+		st := s.shardStats()
+		s.fillMetrics(e, &st, "shard", strconv.Itoa(i))
 	}
-	if se.StreamEnabled() {
-		e.Counter("titant_ingest_ingested_total", "transactions accepted into the live window", float64(se.Ingested()))
-		endpointMetrics(e, "ingest", se.ingestHist)
-	}
-	if se.PolicyEnabled() {
-		endpointMetrics(e, "decide", se.decideHist)
-	}
-	admissionMetrics(e, se.adm)
+	var front Stats
+	front.setFrontDoor(se.StreamEnabled(), se.PolicyEnabled(), se.Ingested(), se.ingestHist, se.decideHist, se.adm)
+	frontDoorMetrics(e, &front, se.adm)
 	e.Gauge("titant_engine_shards", "engine shard count", float64(len(se.shards)))
 	return e.Bytes()
 }
 
-// fillMetrics emits one engine's series into e under the given extra
-// labels. topLevel marks an engine fronting its own HTTP surface: only
-// then does it own the endpoint request histograms, the admission gate
-// and the shared stream window's ingest counter — inside a sharded
-// fleet those live at the front door, not on the shards.
-func (s *Server) fillMetrics(e *telemetry.Expo, topLevel bool, labels ...string) {
+// fillMetrics emits one engine's shard sections of st (see shardStats)
+// and its per-stage span histograms into e under the given extra labels.
+func (s *Server) fillMetrics(e *telemetry.Expo, st *Stats, labels ...string) {
 	lbl := func(extra ...string) []string {
 		return append(append(make([]string, 0, len(labels)+len(extra)), labels...), extra...)
 	}
 
-	e.Counter("titant_scoring_scored_total", "transactions scored", float64(s.scored.Load()), labels...)
-	e.Counter("titant_scoring_alerted_total", "transactions scored at or above the alert threshold", float64(s.alerted.Load()), labels...)
-	counts, _ := s.hist.Snapshot()
-	e.Histogram("titant_scoring_latency_seconds", "per-transaction scoring latency", s.hist.Bounds(), counts, int64(s.hist.Sum()), labels...)
-	e.Gauge("titant_bundle_info", "active bundle metadata (value is always 1)", 1, lbl("version", s.BundleVersion())...)
+	e.Counter("titant_scoring_scored_total", "transactions scored", float64(st.Scored), labels...)
+	e.Counter("titant_scoring_alerted_total", "transactions scored at or above the alert threshold", float64(st.Alerted), labels...)
+	histMetric(e, "titant_scoring_latency_seconds", "per-transaction scoring latency", st.LatencyHist, labels...)
+	e.Gauge("titant_bundle_info", "active bundle metadata (value is always 1)", 1, lbl("version", st.Version)...)
 
 	// Per-stage hot-path histograms from the span tracker.
 	for _, name := range s.tel.Endpoints() {
 		et := s.tel.Endpoint(name)
-		for st := telemetry.Stage(0); st < telemetry.NumStages; st++ {
-			h := et.StageHistogram(st)
+		for stg := telemetry.Stage(0); stg < telemetry.NumStages; stg++ {
+			h := et.StageHistogram(stg)
 			if h.Total() == 0 {
 				continue
 			}
-			sc, _ := h.Snapshot()
-			e.Histogram("titant_stage_latency_seconds", "hot-path stage latency by endpoint",
-				h.Bounds(), sc, int64(h.Sum()), lbl("endpoint", name, "stage", st.String())...)
+			histMetric(e, "titant_stage_latency_seconds", "hot-path stage latency by endpoint",
+				h.Raw(), lbl("endpoint", name, "stage", stg.String())...)
 		}
 	}
 
-	if topLevel {
-		if s.StreamEnabled() {
-			e.Counter("titant_ingest_ingested_total", "transactions accepted into the live window", float64(s.Ingested()), labels...)
-			endpointMetrics(e, "ingest", s.ingestHist, labels...)
-		}
-		if s.PolicyEnabled() {
-			endpointMetrics(e, "decide", s.decideHist, labels...)
-		}
-		admissionMetrics(e, s.adm, labels...)
-	}
-
-	if s.UserCacheEnabled() {
-		cs := s.UserCacheStats()
+	if cs := st.UserCache; cs != nil {
 		e.Counter("titant_user_cache_hits_total", "user cache hits", float64(cs.Hits), labels...)
 		e.Counter("titant_user_cache_misses_total", "user cache misses", float64(cs.Misses), labels...)
 		e.Counter("titant_user_cache_collapsed_total", "concurrent misses collapsed to one load", float64(cs.Collapsed), labels...)
@@ -105,18 +87,16 @@ func (s *Server) fillMetrics(e *telemetry.Expo, topLevel bool, labels ...string)
 		e.Gauge("titant_user_cache_capacity", "user cache entry capacity", float64(cs.Capacity), labels...)
 	}
 
-	if s.PolicyEnabled() {
-		ds := s.DecisionStats()
-		e.Gauge("titant_policy_info", "active policy metadata (value is always 1)", 1, lbl("version", s.PolicyVersion())...)
+	if ds := st.Policy; ds != nil {
+		e.Gauge("titant_policy_info", "active policy metadata (value is always 1)", 1, lbl("version", ds.Version)...)
 		e.Counter("titant_decisions_total", "policy decisions by action", float64(ds.Approved), lbl("action", "approve")...)
 		e.Counter("titant_decisions_total", "policy decisions by action", float64(ds.Challenged), lbl("action", "challenge")...)
 		e.Counter("titant_decisions_total", "policy decisions by action", float64(ds.Denied), lbl("action", "deny")...)
 		e.Counter("titant_decision_rule_overrides_total", "decisions where a rule overrode the model bands", float64(ds.RuleOverrides), labels...)
 	}
 
-	if s.ShadowEnabled() {
-		sh := s.ShadowStats()
-		e.Gauge("titant_shadow_info", "challenger bundle metadata (value is always 1)", 1, lbl("version", s.ShadowVersion())...)
+	if sh := st.Shadow; sh != nil {
+		e.Gauge("titant_shadow_info", "challenger bundle metadata (value is always 1)", 1, lbl("version", sh.ChallengerVersion)...)
 		e.Counter("titant_shadow_scored_total", "champion/challenger comparisons completed", float64(sh.Scored), labels...)
 		e.Counter("titant_shadow_dropped_total", "shadow jobs shed on queue overflow", float64(sh.Dropped), labels...)
 		e.Counter("titant_shadow_errors_total", "challenger-side scoring failures", float64(sh.Errors), labels...)
@@ -124,16 +104,15 @@ func (s *Server) fillMetrics(e *telemetry.Expo, topLevel bool, labels ...string)
 		e.Counter("titant_shadow_flipped_total", "comparisons where the challenger would flip the verdict", float64(sh.Flipped), labels...)
 		e.Gauge("titant_shadow_agreement", "champion/challenger verdict agreement ratio", sh.Agreement, labels...)
 		e.Gauge("titant_shadow_mean_divergence", "mean absolute champion-challenger score divergence", sh.MeanAbsDiff, labels...)
-		e.Gauge("titant_shadow_queue_depth", "transactions waiting for the shadow worker", float64(s.ShadowQueueDepth()), labels...)
+		e.Gauge("titant_shadow_queue_depth", "transactions waiting for the shadow worker", float64(sh.QueueDepth), labels...)
 	}
 
-	if s.EventLogEnabled() {
-		es := s.EventLogStats()
+	if es := st.EventLog; es != nil {
 		e.Counter("titant_eventlog_appended_total", "events appended to the durable log", float64(es.Appended), labels...)
 		e.Counter("titant_eventlog_fsyncs_total", "event log fsync calls", float64(es.Fsyncs), labels...)
 		e.Counter("titant_eventlog_bytes_total", "bytes appended to the event log", float64(es.Bytes), labels...)
-		e.Counter("titant_eventlog_replayed_total", "events replayed at startup recovery", float64(s.EventLogReplayed()), labels...)
-		e.Counter("titant_eventlog_append_errors_total", "event log append failures", float64(s.elogErrs.Load()), labels...)
+		e.Counter("titant_eventlog_replayed_total", "events replayed at startup recovery", float64(es.Replayed), labels...)
+		e.Counter("titant_eventlog_append_errors_total", "event log append failures", float64(es.AppendErrors), labels...)
 		e.Gauge("titant_eventlog_segments", "event log segment files on disk", float64(es.Segments), labels...)
 		e.Gauge("titant_eventlog_first_offset", "oldest retained event offset", float64(es.FirstOffset), labels...)
 		e.Gauge("titant_eventlog_next_offset", "next event offset to be assigned", float64(es.NextOffset), labels...)
@@ -143,46 +122,50 @@ func (s *Server) fillMetrics(e *telemetry.Expo, topLevel bool, labels ...string)
 		e.Gauge("titant_eventlog_max_consumer_lag", "largest consumer offset lag", float64(es.MaxLag), labels...)
 	}
 
-	if series := s.DriftStats(); series != nil {
-		e.Gauge("titant_drift_alert", "1 when any score series crosses its drift thresholds", bool01(s.DriftAlerted()), labels...)
-		for i := range series {
-			dl := lbl("member", series[i].Name)
-			e.Counter("titant_drift_baseline_total", "scores frozen into the drift baseline", float64(series[i].BaselineCount), dl...)
-			e.Counter("titant_drift_live_total", "scores observed into the live drift window", float64(series[i].LiveCount), dl...)
-			e.Gauge("titant_drift_psi", "population stability index vs the baseline", series[i].PSI, dl...)
-			e.Gauge("titant_drift_ks", "Kolmogorov-Smirnov distance vs the baseline", series[i].KS, dl...)
+	if d := st.Drift; d != nil {
+		e.Gauge("titant_drift_alert", "1 when any score series crosses its drift thresholds", bool01(d.Alert), labels...)
+		for i := range d.Series {
+			sr := &d.Series[i]
+			dl := lbl("member", sr.Name)
+			e.Counter("titant_drift_baseline_total", "scores frozen into the drift baseline", float64(sr.BaselineCount), dl...)
+			e.Counter("titant_drift_live_total", "scores observed into the live drift window", float64(sr.LiveCount), dl...)
+			e.Gauge("titant_drift_psi", "population stability index vs the baseline", sr.PSI, dl...)
+			e.Gauge("titant_drift_ks", "Kolmogorov-Smirnov distance vs the baseline", sr.KS, dl...)
 		}
 	}
 }
 
-// endpointMetrics emits one HTTP endpoint's request-latency histogram.
-func endpointMetrics(e *telemetry.Expo, endpoint string, h *telemetry.Histogram, labels ...string) {
-	counts, _ := h.Snapshot()
-	el := append(append(make([]string, 0, len(labels)+2), labels...), "endpoint", endpoint)
-	e.Histogram("titant_endpoint_latency_seconds", "HTTP request latency by endpoint", h.Bounds(), counts, int64(h.Sum()), el...)
-}
-
-// admissionMetrics emits the admission gate's series, per-caller
-// counters included (nil gate: admission is off, nothing to report).
-func admissionMetrics(e *telemetry.Expo, a *admission, labels ...string) {
-	if a == nil {
+// frontDoorMetrics emits the front-door sections of st (see
+// setFrontDoor): the live window's ingest counter, the HTTP endpoint
+// histograms and the admission gate, per-caller counters included.
+func frontDoorMetrics(e *telemetry.Expo, st *Stats, adm *admission) {
+	if st.Ingested != nil {
+		e.Counter("titant_ingest_ingested_total", "transactions accepted into the live window", float64(*st.Ingested))
+	}
+	for _, name := range []string{"ingest", "decide"} {
+		if ep, ok := st.Endpoints[name]; ok {
+			histMetric(e, "titant_endpoint_latency_seconds", "HTTP request latency by endpoint", ep.Hist, "endpoint", name)
+		}
+	}
+	if adm == nil || st.Admission == nil {
 		return
 	}
-	lbl := func(extra ...string) []string {
-		return append(append(make([]string, 0, len(labels)+len(extra)), labels...), extra...)
+	for _, ca := range adm.callerSnapshot() {
+		e.Counter("titant_admission_admitted_total", "transactions admitted by caller", float64(ca.admitted), "caller", ca.name)
+		e.Counter("titant_admission_shed_quota_total", "transactions refused by caller quotas", float64(ca.shedQuota), "caller", ca.name)
+		e.Counter("titant_admission_shed_inflight_total", "transactions refused by the inflight bound", float64(ca.shedInflight), "caller", ca.name)
 	}
-	st := a.stats()
-	for _, ca := range a.callerSnapshot() {
-		cl := lbl("caller", ca.name)
-		e.Counter("titant_admission_admitted_total", "transactions admitted by caller", float64(ca.admitted), cl...)
-		e.Counter("titant_admission_shed_quota_total", "transactions refused by caller quotas", float64(ca.shedQuota), cl...)
-		e.Counter("titant_admission_shed_inflight_total", "transactions refused by the inflight bound", float64(ca.shedInflight), cl...)
-	}
-	e.Gauge("titant_admission_inflight", "transactions currently inside the engine", float64(st.Inflight), labels...)
-	e.Gauge("titant_admission_max_inflight", "inflight bound (0: unbounded)", float64(st.MaxInflight), labels...)
-	e.Gauge("titant_admission_rate", "per-caller sustained quota in tx/s (0: no quota)", st.Rate, labels...)
-	e.Gauge("titant_admission_burst", "per-caller burst allowance", st.Burst, labels...)
-	e.Gauge("titant_admission_callers", "distinct callers holding exact quota buckets", float64(st.Callers), labels...)
+	as := st.Admission
+	e.Gauge("titant_admission_inflight", "transactions currently inside the engine", float64(as.Inflight))
+	e.Gauge("titant_admission_max_inflight", "inflight bound (0: unbounded)", float64(as.MaxInflight))
+	e.Gauge("titant_admission_rate", "per-caller sustained quota in tx/s (0: no quota)", as.Rate)
+	e.Gauge("titant_admission_burst", "per-caller burst allowance", as.Burst)
+	e.Gauge("titant_admission_callers", "distinct callers holding exact quota buckets", float64(as.Callers))
+}
+
+// histMetric emits one raw histogram snapshot as a Prometheus histogram.
+func histMetric(e *telemetry.Expo, name, help string, h telemetry.HistSnapshot, labels ...string) {
+	e.Histogram(name, help, h.Bounds, h.Counts, int64(h.Sum), labels...)
 }
 
 // TraceBody renders the engine's GET /v1/debug/trace dump.

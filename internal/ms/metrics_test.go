@@ -2,6 +2,7 @@ package ms
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -142,5 +143,58 @@ func TestDebugTraceEndpoint(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("adopted trace %s not among score exemplars", want)
+	}
+}
+
+// TestShardedMetricsAgreeWithStats: a sharded engine's /metrics page and
+// its /v1/stats snapshot report the same counters — the shard-labeled
+// series sum to the merged snapshot, and the shared window's ingest
+// count appears once, not once per shard.
+func TestShardedMetricsAgreeWithStats(t *testing.T) {
+	se := buildSharded(t, 3, trainToy(t, 0), WithPolicy(decidePolicy(t)))
+	ctx := context.Background()
+	txns := shardTxns(90, 31)
+	if err := se.IngestBatch(txns[:30]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := se.ScoreBatch(ctx, txns); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := se.DecideBatch(ctx, txns, nil); err != nil {
+		t.Fatal(err)
+	}
+	st := se.Stats()
+	sc, err := telemetry.ParseExpo(se.MetricsBody())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := func(family, label, value string) (total float64) {
+		f, ok := sc.Families[family]
+		if !ok {
+			t.Fatalf("family %s missing", family)
+		}
+		for _, s := range f.Samples {
+			if label == "" || s.Labels[label] == value {
+				total += s.Value
+			}
+		}
+		return total
+	}
+	if got := sum("titant_scoring_scored_total", "", ""); got != float64(st.Scored) || st.Scored == 0 {
+		t.Fatalf("scored: metrics %v, stats %d", got, st.Scored)
+	}
+	if got := sum("titant_scoring_alerted_total", "", ""); got != float64(st.Alerted) {
+		t.Fatalf("alerted: metrics %v, stats %d", got, st.Alerted)
+	}
+	for action, want := range map[string]int64{"approve": st.Policy.Approved, "challenge": st.Policy.Challenged, "deny": st.Policy.Denied} {
+		if got := sum("titant_decisions_total", "action", action); got != float64(want) {
+			t.Fatalf("%s: metrics %v, stats %d", action, got, want)
+		}
+	}
+	if st.Ingested == nil || *st.Ingested != 30 {
+		t.Fatalf("stats ingested = %v, want 30", st.Ingested)
+	}
+	if got := sum("titant_ingest_ingested_total", "", ""); got != 30 {
+		t.Fatalf("metrics ingested = %v, want 30", got)
 	}
 }

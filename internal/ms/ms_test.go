@@ -477,9 +477,9 @@ func TestNewServerValidation(t *testing.T) {
 	if _, err := New(tab, nil); !errors.Is(err, ErrBundleInvalid) {
 		t.Error("nil bundle accepted")
 	}
-	// The deprecated constructor still works.
-	if _, err := NewServer(tab, trainToy(t, 0), nil); err != nil {
-		t.Errorf("NewServer: %v", err)
+	// A nil alert is allowed.
+	if _, err := New(tab, trainToy(t, 0), WithAlert(nil)); err != nil {
+		t.Errorf("New with nil alert: %v", err)
 	}
 }
 

@@ -267,13 +267,6 @@ func (lc *liveCity) Lookup(c uint16) (fraud, share float64) {
 	return f, sh
 }
 
-// NewServer builds a Model Server over a feature table. alert may be nil.
-//
-// Deprecated: use New with WithAlert.
-func NewServer(table *hbase.Table, bundle *Bundle, alert Alert) (*Server, error) {
-	return New(table, bundle, WithAlert(alert))
-}
-
 // SetBundle hot-swaps the model (the paper's periodic model-file update).
 // The user cache, when present, is purged: a bundle swap typically lands
 // right after an upload wave has re-published every user at the new

@@ -179,9 +179,6 @@ func (se *ShardedEngine) Admit(ctx context.Context, n int) (func(), error) {
 // an inflight bound.
 func (se *ShardedEngine) AdmissionEnabled() bool { return se.adm != nil }
 
-// AdmissionStats snapshots the engine-level admission counters.
-func (se *ShardedEngine) AdmissionStats() AdmissionStats { return se.adm.stats() }
-
 // Score scores one transaction on the sender's owner shard. The shard
 // fetches the receiver's fragments from *their* owner through the ring,
 // so a cross-shard transfer scores identically to a local one.
@@ -430,41 +427,6 @@ func (se *ShardedEngine) StreamEnabled() bool { return se.shards[0].StreamEnable
 // the fleet's — summing per-shard reads would count each ingest N times.
 func (se *ShardedEngine) Ingested() int64 { return se.shards[0].Ingested() }
 
-// UserCacheEnabled reports whether the shards carry read-through caches.
-func (se *ShardedEngine) UserCacheEnabled() bool { return se.shards[0].UserCacheEnabled() }
-
-// UserCacheStats sums the per-shard cache counters; Size and Capacity
-// add up to the fleet totals.
-func (se *ShardedEngine) UserCacheStats() usercache.Stats {
-	var out usercache.Stats
-	for _, s := range se.shards {
-		cs := s.UserCacheStats()
-		out.Hits += cs.Hits
-		out.Misses += cs.Misses
-		out.Collapsed += cs.Collapsed
-		out.Evictions += cs.Evictions
-		out.Invalidations += cs.Invalidations
-		out.Negatives += cs.Negatives
-		out.Size += cs.Size
-		out.Capacity += cs.Capacity
-	}
-	return out
-}
-
-// DecisionStats sums the per-shard action counters.
-func (se *ShardedEngine) DecisionStats() DecisionStats {
-	var out DecisionStats
-	for _, s := range se.shards {
-		ds := s.DecisionStats()
-		out.Decided += ds.Decided
-		out.Approved += ds.Approved
-		out.Challenged += ds.Challenged
-		out.Denied += ds.Denied
-		out.RuleOverrides += ds.RuleOverrides
-	}
-	return out
-}
-
 // DriftEnabled reports whether drift monitoring is configured.
 func (se *ShardedEngine) DriftEnabled() bool { return se.shards[0].DriftEnabled() }
 
@@ -478,97 +440,6 @@ func (se *ShardedEngine) DriftAlerted() bool {
 	return false
 }
 
-// DriftStats merges the per-shard monitors series-by-series: counts sum,
-// the divergence statistics take the worst (max) shard — PSI and KS are
-// distribution distances, not additive counters — and a series alerts if
-// it alerts anywhere. Each shard monitors the score distribution of its
-// own user partition, so the merged view is "the most drifted shard",
-// which is the one an operator acts on.
-func (se *ShardedEngine) DriftStats() []decision.DriftStats {
-	out := se.shards[0].DriftStats()
-	if out == nil {
-		return nil
-	}
-	for _, s := range se.shards[1:] {
-		series := s.DriftStats()
-		for i := range out {
-			if i >= len(series) {
-				break
-			}
-			out[i].BaselineCount += series[i].BaselineCount
-			out[i].LiveCount += series[i].LiveCount
-			if series[i].PSI > out[i].PSI {
-				out[i].PSI = series[i].PSI
-			}
-			if series[i].KS > out[i].KS {
-				out[i].KS = series[i].KS
-			}
-			out[i].Alert = out[i].Alert || series[i].Alert
-		}
-	}
-	return out
-}
-
-// ShadowEnabled reports whether a challenger runs in shadow.
-func (se *ShardedEngine) ShadowEnabled() bool { return se.shards[0].ShadowEnabled() }
-
-// ShadowVersion returns the challenger bundle's version.
-func (se *ShardedEngine) ShadowVersion() string { return se.shards[0].ShadowVersion() }
-
-// ShadowStats sums the per-shard comparison counters and recomputes the
-// derived ratios over the sums (agreement, and scored-weighted mean
-// divergence).
-func (se *ShardedEngine) ShadowStats() decision.ShadowStats {
-	var out decision.ShadowStats
-	var diffSum float64
-	for _, s := range se.shards {
-		sh := s.ShadowStats()
-		out.Scored += sh.Scored
-		out.Dropped += sh.Dropped
-		out.Errors += sh.Errors
-		out.Agreed += sh.Agreed
-		out.Flipped += sh.Flipped
-		diffSum += sh.MeanAbsDiff * float64(sh.Scored)
-	}
-	if out.Scored > 0 {
-		out.Agreement = float64(out.Agreed) / float64(out.Scored)
-		out.MeanAbsDiff = diffSum / float64(out.Scored)
-	} else {
-		out.Agreement = 1
-	}
-	return out
-}
-
-// ShadowQueueDepth sums the per-shard shadow queue depths.
-func (se *ShardedEngine) ShadowQueueDepth() int {
-	depth := 0
-	for _, s := range se.shards {
-		depth += s.ShadowQueueDepth()
-	}
-	return depth
-}
-
-// Latency merges the per-shard scoring histograms (bucket-wise sums —
-// the shards share bounds by construction) and reports fleet-wide
-// percentiles with summed counters.
-func (se *ShardedEngine) Latency() LatencyStats {
-	hs := make([]*telemetry.Histogram, len(se.shards))
-	var count, alerted int64
-	for i, s := range se.shards {
-		hs[i] = s.hist
-		count += s.scored.Load()
-		alerted += s.alerted.Load()
-	}
-	bounds, counts, total, max := telemetry.Merge(hs)
-	return LatencyStats{
-		Count:   count,
-		Alerted: alerted,
-		P50:     telemetry.Quantile(bounds, counts, total, max, 0.50),
-		P99:     telemetry.Quantile(bounds, counts, total, max, 0.99),
-		Max:     max,
-	}
-}
-
 // Health snapshots readiness: shard 0's configuration view (uniform by
 // construction) with the fleet's shard count and an OR over the shard
 // drift alerts.
@@ -577,52 +448,6 @@ func (se *ShardedEngine) Health() HealthInfo {
 	h.Shards = len(se.shards)
 	h.DriftAlert = se.DriftAlerted()
 	return h
-}
-
-// StatsBody builds the merged GET /v1/stats body: counters summed across
-// shards, histograms merged bucket-wise before quantiles are recomputed,
-// versions from shard 0 (uniform by construction). The section layout
-// matches Server.StatsBody exactly, so clients and the wire router
-// cannot tell one engine from a sharded one except by the shard count.
-func (se *ShardedEngine) StatsBody() map[string]interface{} {
-	lat := se.Latency()
-	hs := make([]*telemetry.Histogram, len(se.shards))
-	for i, s := range se.shards {
-		hs[i] = s.hist
-	}
-	bounds, counts, total, max := telemetry.Merge(hs)
-	body := map[string]interface{}{
-		"scored": lat.Count, "alerted": lat.Alerted,
-		"p50_us": lat.P50.Microseconds(), "p99_us": lat.P99.Microseconds(),
-		"max_us": lat.Max.Microseconds(), "version": se.BundleVersion(),
-		"shards":       len(se.shards),
-		"latency_hist": telemetry.HistBody(bounds, counts, total, max),
-	}
-	endpoints := map[string]interface{}{}
-	if se.StreamEnabled() {
-		body["ingested"] = se.Ingested()
-		endpoints["ingest"] = endpointStats(se.ingestHist)
-	}
-	if se.UserCacheEnabled() {
-		body["user_cache"] = cacheStatsBody(se.UserCacheStats())
-	}
-	if se.PolicyEnabled() {
-		body["policy"] = policyStatsBody(se.PolicyVersion(), se.DecisionStats())
-		endpoints["decide"] = endpointStats(se.decideHist)
-	}
-	if len(endpoints) > 0 {
-		body["endpoints"] = endpoints
-	}
-	if se.AdmissionEnabled() {
-		body["admission"] = admissionStatsBody(se.AdmissionStats())
-	}
-	if se.ShadowEnabled() {
-		body["shadow"] = shadowStatsBody(se.ShadowVersion(), se.ShadowStats(), se.ShadowQueueDepth())
-	}
-	if series := se.DriftStats(); series != nil {
-		body["drift"] = driftStatsBody(series)
-	}
-	return body
 }
 
 // ShardedUploader routes user uploads across a shard ring: each user's

@@ -235,8 +235,8 @@ func TestShardedBatchMatchesSingles(t *testing.T) {
 			t.Fatalf("verdict %d: batch %v != single %v", i, verdicts[i].Score, want.Score)
 		}
 	}
-	if st := se.Latency(); st.Count != int64(2*len(txns)) {
-		t.Fatalf("merged latency count = %d, want %d", st.Count, 2*len(txns))
+	if st := se.Stats(); st.Scored != int64(2*len(txns)) || st.LatencyHist.Total() != int64(2*len(txns)) {
+		t.Fatalf("merged scored = %d, histogram total = %d, want %d", st.Scored, st.LatencyHist.Total(), 2*len(txns))
 	}
 }
 
@@ -317,8 +317,8 @@ func TestShardedSwapAllShards(t *testing.T) {
 	if _, err := se.DecideBatch(ctx, txns, nil); err != nil {
 		t.Fatal(err)
 	}
-	if ds := se.DecisionStats(); ds.Decided != int64(len(txns)) {
-		t.Fatalf("merged decided = %d, want %d", ds.Decided, len(txns))
+	if ds := se.Stats().Policy; ds == nil || ds.Decided != int64(len(txns)) {
+		t.Fatalf("merged policy = %+v, want %d decided", ds, len(txns))
 	}
 }
 
@@ -342,8 +342,8 @@ func TestShardedAdmissionTopLevel(t *testing.T) {
 	if _, err := se.Admit(ctx, 1); !errors.Is(err, ErrRateLimited) {
 		t.Fatalf("err = %v, want ErrRateLimited", err)
 	}
-	as := se.AdmissionStats()
-	if as.Admitted != 2 || as.ShedQuota != 1 {
+	as := se.Stats().Admission
+	if as == nil || as.Admitted != 2 || as.ShedQuota != 1 {
 		t.Fatalf("admission stats = %+v", as)
 	}
 }
@@ -383,31 +383,25 @@ func TestShardedStatsMerge(t *testing.T) {
 		t.Fatalf("per-shard counts sum to %d, want %d", perShard, len(txns))
 	}
 
-	body := se.StatsBody()
-	if got := body["scored"].(int64); got != int64(len(txns)) {
-		t.Fatalf("merged scored = %d, want %d", got, len(txns))
+	st := se.Stats()
+	if st.Scored != int64(len(txns)) {
+		t.Fatalf("merged scored = %d, want %d", st.Scored, len(txns))
 	}
-	if got := body["shards"].(int); got != 3 {
-		t.Fatalf("shards = %d, want 3", got)
+	if st.Shards != 3 {
+		t.Fatalf("shards = %d, want 3", st.Shards)
 	}
-	hist := body["latency_hist"].(map[string]interface{})
-	var histTotal int64
-	for _, c := range hist["counts"].([]int64) {
-		histTotal += c
+	if got := st.LatencyHist.Total(); got != int64(len(txns)) {
+		t.Fatalf("merged histogram holds %d samples, want %d", got, len(txns))
 	}
-	if histTotal != int64(len(txns)) {
-		t.Fatalf("merged histogram holds %d samples, want %d", histTotal, len(txns))
-	}
-	cache := body["user_cache"].(map[string]interface{})
-	cs := se.UserCacheStats()
-	if cache["capacity"].(int) != cs.Capacity || cs.Capacity < 256 {
-		t.Fatalf("merged cache capacity = %v (stats %d), want >= 256", cache["capacity"], cs.Capacity)
+	cs := st.UserCache
+	if cs == nil || cs.Capacity < 256 {
+		t.Fatalf("merged cache = %+v, want capacity >= 256", cs)
 	}
 	if cs.Hits+cs.Misses == 0 {
 		t.Fatal("merged cache saw no traffic")
 	}
-	if adm := body["admission"].(map[string]interface{}); adm["admitted"].(int64) != int64(len(txns)) {
-		t.Fatalf("merged admitted = %v, want %d", adm["admitted"], len(txns))
+	if adm := st.Admission; adm == nil || adm.Admitted != int64(len(txns)) {
+		t.Fatalf("merged admission = %+v, want %d admitted", adm, len(txns))
 	}
 	if h := se.Health(); h.Shards != 3 || h.Status != "ok" {
 		t.Fatalf("health = %+v", h)

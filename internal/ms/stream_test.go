@@ -137,13 +137,13 @@ func TestIngestEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stats map[string]interface{}
+	var stats Stats
 	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if stats["ingested"].(float64) != 3 {
-		t.Fatalf("stats = %v", stats)
+	if stats.Ingested == nil || *stats.Ingested != 3 {
+		t.Fatalf("stats ingested = %v, want 3", stats.Ingested)
 	}
 }
 

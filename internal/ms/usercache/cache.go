@@ -13,14 +13,14 @@ import "sync"
 
 // Stats is a point-in-time snapshot of the cache's counters.
 type Stats struct {
-	Hits          int64 // entry present (positive or negative)
-	Misses        int64 // entry absent; a load was (or will be) taken
-	Collapsed     int64 // misses that waited on another caller's in-flight load
-	Evictions     int64 // entries displaced by CLOCK to admit a new key
-	Invalidations int64 // explicit Invalidate/Purge removals
-	Negatives     int64 // hits served from a negative (known-absent) entry
-	Size          int   // live entries right now
-	Capacity      int   // configured entry capacity
+	Hits          int64 `json:"hits"`          // entry present (positive or negative)
+	Misses        int64 `json:"misses"`        // entry absent; a load was (or will be) taken
+	Collapsed     int64 `json:"collapsed"`     // misses that waited on another caller's in-flight load
+	Evictions     int64 `json:"evictions"`     // entries displaced by CLOCK to admit a new key
+	Invalidations int64 `json:"invalidations"` // explicit Invalidate/Purge removals
+	Negatives     int64 `json:"negatives"`     // hits served from a negative (known-absent) entry
+	Size          int   `json:"size"`          // live entries right now
+	Capacity      int   `json:"capacity"`      // configured entry capacity
 }
 
 // Cache is a sharded read-through cache. The zero value is not usable;

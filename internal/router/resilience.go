@@ -223,19 +223,23 @@ func (b *breaker) counters() (state string, opens, halfOpens, probes, failures, 
 	return state, b.opens, b.halfOpens, b.probes, b.failures, b.successes
 }
 
-// snapshot builds the breaker's stats body.
-func (b *breaker) snapshot(shard int, p99 time.Duration) map[string]interface{} {
-	state, opens, halfOpens, probes, failures, successes := b.counters()
-	return map[string]interface{}{
-		"shard":      shard,
-		"state":      state,
-		"opens":      opens,
-		"half_opens": halfOpens,
-		"probes":     probes,
-		"failures":   failures,
-		"successes":  successes,
-		"p99_us":     p99.Microseconds(),
-	}
+// breakerStats is one shard's breaker in the /v1/stats router section.
+type breakerStats struct {
+	Shard     int    `json:"shard"`
+	State     string `json:"state"`
+	Opens     int64  `json:"opens"`
+	HalfOpens int64  `json:"half_opens"`
+	Probes    int64  `json:"probes"`
+	Failures  int64  `json:"failures"`
+	Successes int64  `json:"successes"`
+	P99US     int64  `json:"p99_us"`
+}
+
+// snapshot builds the breaker's stats entry.
+func (b *breaker) snapshot(shard int, p99 time.Duration) breakerStats {
+	st := breakerStats{Shard: shard, P99US: p99.Microseconds()}
+	st.State, st.Opens, st.HalfOpens, st.Probes, st.Failures, st.Successes = b.counters()
+	return st
 }
 
 // lockedRand is a mutex-guarded seeded RNG for backoff jitter. A fixed

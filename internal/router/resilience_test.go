@@ -327,6 +327,10 @@ func TestRouterBreakerOpensAndRecovers(t *testing.T) {
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
+		if r.URL.Path == "/v1/stats" {
+			fmt.Fprint(w, `{`+oneSample+`}`)
+			return
+		}
 		fmt.Fprint(w, `{"txn_id":1,"score":0.5}`)
 	})
 	rt := newTestRouter(t, []string{shard.URL},
@@ -364,13 +368,12 @@ func TestRouterBreakerOpensAndRecovers(t *testing.T) {
 	}
 
 	// The lifecycle is visible in the stats section.
-	var stats map[string]interface{}
+	var stats statsBody
 	if code := getJSON(t, h, "/v1/stats", &stats); code != http.StatusOK {
 		t.Fatalf("stats: %d", code)
 	}
-	brk := stats["router"].(map[string]interface{})["breakers"].([]interface{})[0].(map[string]interface{})
-	if brk["state"] != "closed" || brk["opens"].(float64) < 1 || brk["probes"].(float64) < 1 {
-		t.Fatalf("breaker stats = %v", brk)
+	if brk := stats.Router.Breakers[0]; brk.State != "closed" || brk.Opens < 1 || brk.Probes < 1 {
+		t.Fatalf("breaker stats = %+v", brk)
 	}
 }
 
@@ -534,13 +537,12 @@ func TestRouterBatchPartialDegradation(t *testing.T) {
 	}
 
 	// Stats still answers, naming the unreachable shard.
-	var stats map[string]interface{}
+	var stats statsBody
 	if code := getJSON(t, h, "/v1/stats", &stats); code != http.StatusOK {
 		t.Fatalf("stats on degraded fleet: %d", code)
 	}
-	router := stats["router"].(map[string]interface{})
-	if unr := router["unreachable"].([]interface{}); len(unr) != 1 || unr[0].(float64) != 0 {
-		t.Fatalf("stats unreachable = %v", router["unreachable"])
+	if unr := stats.Router.Unreachable; len(unr) != 1 || unr[0] != 0 {
+		t.Fatalf("stats unreachable = %v", unr)
 	}
 }
 

@@ -878,68 +878,102 @@ func (rt *Router) control(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// routerStats builds the /v1/stats "router" section.
-func (rt *Router) routerStats() map[string]interface{} {
-	breakers := make([]map[string]interface{}, len(rt.brk))
+// routerStats is the /v1/stats "router" section: the ring, the
+// router's own counters, per-shard breaker state, and the shards whose
+// stats are missing from the merge.
+type routerStats struct {
+	Shards            []string       `json:"shards"`
+	Singles           int64          `json:"singles"`
+	Batches           int64          `json:"batches"`
+	Fanouts           int64          `json:"fanouts"`
+	Controls          int64          `json:"controls"`
+	Errors            int64          `json:"errors"`
+	Retries           int64          `json:"retries"`
+	Hedges            int64          `json:"hedges"`
+	HedgeWins         int64          `json:"hedge_wins"`
+	DegradedItems     int64          `json:"degraded_items"`
+	DeadlineExhausted int64          `json:"deadline_exhausted"`
+	FallbackAction    string         `json:"fallback_action"`
+	Breakers          []breakerStats `json:"breakers"`
+	Unreachable       []int          `json:"unreachable,omitempty"`
+}
+
+// statsBody is the router's GET /v1/stats answer: the merged fleet
+// snapshot plus the router section.
+type statsBody struct {
+	ms.Stats
+	Router routerStats `json:"router"`
+}
+
+func (rt *Router) routerStats() routerStats {
+	breakers := make([]breakerStats, len(rt.brk))
 	for si, b := range rt.brk {
 		breakers[si] = b.snapshot(si, rt.lat[si].Quantile(0.99))
 	}
-	return map[string]interface{}{
-		"shards":             rt.shards,
-		"singles":            rt.singles.Load(),
-		"batches":            rt.batches.Load(),
-		"fanouts":            rt.fanouts.Load(),
-		"controls":           rt.controls.Load(),
-		"errors":             rt.errors.Load(),
-		"retries":            rt.retried.Load(),
-		"hedges":             rt.hedges.Load(),
-		"hedge_wins":         rt.hedgeWins.Load(),
-		"degraded_items":     rt.degraded.Load(),
-		"deadline_exhausted": rt.deadlines.Load(),
-		"fallback_action":    rt.fallback,
-		"breakers":           breakers,
+	return routerStats{
+		Shards:            rt.shards,
+		Singles:           rt.singles.Load(),
+		Batches:           rt.batches.Load(),
+		Fanouts:           rt.fanouts.Load(),
+		Controls:          rt.controls.Load(),
+		Errors:            rt.errors.Load(),
+		Retries:           rt.retried.Load(),
+		Hedges:            rt.hedges.Load(),
+		HedgeWins:         rt.hedgeWins.Load(),
+		DegradedItems:     rt.degraded.Load(),
+		DeadlineExhausted: rt.deadlines.Load(),
+		FallbackAction:    rt.fallback,
+		Breakers:          breakers,
 	}
 }
 
-// stats fans GET /v1/stats to every shard and deep-merges the reachable
-// bodies (see MergeStats), adding a "router" section with the ring, the
-// router's own counters and per-shard breaker state. Unreachable shards
-// are listed, not fatal — stats is how operators see a degraded fleet,
-// so it must answer while the fleet is degraded. Only a fully
-// unreachable fleet is a 502.
+// stats fans GET /v1/stats to every shard and folds the answers with
+// mergeStats, adding the router section. Shards without an answer are
+// listed, not fatal — stats is how operators see a degraded fleet, so
+// it must answer while the fleet is degraded. Only a fleet with no
+// answer at all is a 502, as is a body that cannot be merged.
 func (rt *Router) stats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed", "GET only")
 		return
 	}
 	ups := rt.fanGet(r, "/v1/stats", callSpec{retryable: true})
-	var bodies []map[string]interface{}
-	var unreachable []int
-	for si, u := range ups {
-		if u.failed() {
-			rt.errors.Add(1)
-			unreachable = append(unreachable, si)
-			continue
-		}
-		var body map[string]interface{}
-		if err := json.Unmarshal(u.body, &body); err != nil {
-			rt.errors.Add(1)
-			writeError(w, http.StatusBadGateway, "shard_bad_response", err.Error())
-			return
-		}
-		bodies = append(bodies, body)
+	merged, unanswered, err := mergeStats(ups)
+	rt.errors.Add(int64(len(unanswered)))
+	if err != nil {
+		rt.errors.Add(1)
+		writeError(w, http.StatusBadGateway, "shard_bad_response", err.Error())
+		return
 	}
-	if len(bodies) == 0 {
+	if len(unanswered) == len(ups) {
 		writeError(w, http.StatusBadGateway, "shard_unreachable", "no shard answered /v1/stats")
 		return
 	}
-	merged := MergeStats(bodies)
 	rs := rt.routerStats()
-	if len(unreachable) > 0 {
-		rs["unreachable"] = unreachable
+	rs.Unreachable = unanswered
+	writeJSON(w, http.StatusOK, statsBody{Stats: merged, Router: rs})
+}
+
+// mergeStats decodes every shard's 200 answer into ms.Stats and folds
+// them with ms.Merge, returning the shards that gave no stats. Only a
+// 200 carries stats: a refusal such as a 429 from the shard's quota is
+// an error envelope, and merging it would count a missing shard as an
+// empty one.
+func mergeStats(ups []upstream) (merged ms.Stats, unanswered []int, err error) {
+	var parts []ms.Stats
+	for si, u := range ups {
+		if u.failed() || u.status != http.StatusOK {
+			unanswered = append(unanswered, si)
+			continue
+		}
+		var st ms.Stats
+		if err := json.Unmarshal(u.body, &st); err != nil {
+			return ms.Stats{}, unanswered, fmt.Errorf("shard %d /v1/stats: %w", si, err)
+		}
+		parts = append(parts, st)
 	}
-	merged["router"] = rs
-	writeJSON(w, http.StatusOK, merged)
+	merged, err = ms.Merge(parts)
+	return merged, unanswered, err
 }
 
 // fanGet issues one GET per shard concurrently through the resilience

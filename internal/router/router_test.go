@@ -348,32 +348,50 @@ func TestRouterStatsMerge(t *testing.T) {
 		t.Fatalf("batch: %d %s", w.Code, body)
 	}
 
-	var stats map[string]interface{}
+	var stats statsBody
 	if code := getJSON(t, h, "/v1/stats", &stats); code != http.StatusOK {
 		t.Fatalf("GET /v1/stats: %d", code)
 	}
-	if got := stats["scored"].(float64); got != float64(len(reqs)) {
-		t.Fatalf("merged scored = %v, want %d", got, len(reqs))
+	if stats.Scored != int64(len(reqs)) {
+		t.Fatalf("merged scored = %d, want %d", stats.Scored, len(reqs))
 	}
-	if got := stats["shards"].(float64); got != 3 {
-		t.Fatalf("merged shards = %v, want 3", got)
+	if stats.Shards != 3 {
+		t.Fatalf("merged shards = %d, want 3", stats.Shards)
 	}
-	hist := stats["latency_hist"].(map[string]interface{})
-	counts, _ := floatSlice(hist["counts"])
-	var sum float64
-	for _, c := range counts {
-		sum += c
+	if got := stats.LatencyHist.Total(); got != int64(len(reqs)) {
+		t.Fatalf("merged histogram holds %d samples, want %d", got, len(reqs))
 	}
-	if sum != float64(len(reqs)) {
-		t.Fatalf("merged histogram holds %v samples, want %d", sum, len(reqs))
+	if c := stats.UserCache; c == nil || c.Capacity != 3*128 {
+		t.Fatalf("merged cache = %+v, want capacity %d", c, 3*128)
 	}
-	cache := stats["user_cache"].(map[string]interface{})
-	if cache["capacity"].(float64) != 3*128 {
-		t.Fatalf("merged cache capacity = %v, want %d", cache["capacity"], 3*128)
+	if rs := stats.Router; rs.Batches < 1 || len(rs.Shards) != 3 {
+		t.Fatalf("router section = %+v", rs)
 	}
-	router := stats["router"].(map[string]interface{})
-	if router["batches"].(float64) < 1 || len(router["shards"].([]interface{})) != 3 {
-		t.Fatalf("router section = %v", router)
+}
+
+// TestRouterStatsSkipsRefusingShard: a shard that refuses GET /v1/stats
+// (here with a 429 envelope) is listed as unreachable, not merged as an
+// empty snapshot.
+func TestRouterStatsSkipsRefusingShard(t *testing.T) {
+	srv, err := ms.New(seedTable(t), toyBundle(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	live := httptest.NewServer(srv.Handler())
+	t.Cleanup(live.Close)
+	refusing := fakeShard(t, func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusTooManyRequests)
+		_, _ = w.Write([]byte(`{"error":{"code":"rate_limited","message":"quota"}}`))
+	})
+	rt := newTestRouter(t, []string{live.URL, refusing.URL}, WithRetries(0, 0, 0))
+	var stats statsBody
+	if code := getJSON(t, rt.Handler(), "/v1/stats", &stats); code != http.StatusOK {
+		t.Fatalf("GET /v1/stats: %d", code)
+	}
+	if stats.Shards != 1 || len(stats.Router.Unreachable) != 1 || stats.Router.Unreachable[0] != 1 {
+		t.Fatalf("shards = %d, unreachable = %v; want 1 and [1]", stats.Shards, stats.Router.Unreachable)
 	}
 }
 
@@ -466,5 +484,67 @@ func TestRouterRejectsMalformedBatch(t *testing.T) {
 	h.ServeHTTP(w, req)
 	if w.Code != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400", w.Code)
+	}
+}
+
+// TestStatsShardedMatchesWire: the same score and decide traffic (no
+// ingest, so the per-shard live windows cannot diverge) through an
+// in-process ring of two and through the router over two wire shards
+// yields the same fleet counters — one Merge serves both layouts.
+func TestStatsShardedMatchesWire(t *testing.T) {
+	opts := policyOpts(t)
+	b := toyBundle(t)
+	se, err := ms.NewSharded([]*hbase.Table{seedTable(t), seedTable(t)}, b, opts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(se.Close)
+	urls := make([]string, 2)
+	for i := range urls {
+		srv, err := ms.New(seedTable(t), b, opts()...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(srv.Close)
+		hs := httptest.NewServer(srv.Handler())
+		t.Cleanup(hs.Close)
+		urls[i] = hs.URL
+	}
+	rt := newTestRouter(t, urls)
+
+	reqs := fleetTxns(60, 29)
+	decides := make([]ms.DecideRequest, len(reqs))
+	for i := range reqs {
+		decides[i] = ms.DecideRequest{TxnRequest: reqs[i]}
+	}
+	var got [2]statsBody
+	for li, h := range []http.Handler{se.Handler(), rt.Handler()} {
+		for path, body := range map[string]interface{}{
+			"/v1/score/batch":  ms.BatchRequest{Transactions: reqs},
+			"/v1/decide/batch": ms.DecideBatchRequest{Transactions: decides},
+			"/v1/score":        reqs[0],
+			"/v1/decide":       decides[1],
+		} {
+			if w, out := postJSON(t, h, path, body); w.Code != http.StatusOK {
+				t.Fatalf("layout %d POST %s: %d %s", li, path, w.Code, out)
+			}
+		}
+		if code := getJSON(t, h, "/v1/stats", &got[li]); code != http.StatusOK {
+			t.Fatalf("layout %d GET /v1/stats: %d", li, code)
+		}
+	}
+	ring, wire := got[0], got[1]
+	if ring.Scored == 0 || ring.Policy == nil || wire.Policy == nil {
+		t.Fatalf("no traffic recorded: ring %+v", ring.Stats)
+	}
+	if ring.Scored != wire.Scored || ring.Alerted != wire.Alerted || ring.Shards != wire.Shards {
+		t.Fatalf("ring scored/alerted/shards %d/%d/%d, wire %d/%d/%d",
+			ring.Scored, ring.Alerted, ring.Shards, wire.Scored, wire.Alerted, wire.Shards)
+	}
+	if ring.Policy.DecisionStats != wire.Policy.DecisionStats {
+		t.Fatalf("ring actions %+v, wire %+v", ring.Policy.DecisionStats, wire.Policy.DecisionStats)
+	}
+	if r, w := ring.LatencyHist.Total(), wire.LatencyHist.Total(); r != w || r != ring.Scored {
+		t.Fatalf("latency histogram totals: ring %d, wire %d, scored %d", r, w, ring.Scored)
 	}
 }

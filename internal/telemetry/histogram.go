@@ -8,7 +8,10 @@
 package telemetry
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -151,44 +154,57 @@ func Quantile(bounds []time.Duration, counts []int64, total int64, max time.Dura
 	return max
 }
 
-// Merge sums same-shaped histograms bucket-wise and returns the merged
-// snapshot (bounds, counts, total, max). All inputs must share bounds —
-// true for the engine's histograms, which are all built from one option
-// set; the wire router only merges stats bodies whose bounds_ns arrays
-// match.
-func Merge(hs []*Histogram) (bounds []time.Duration, counts []int64, total int64, max time.Duration) {
-	if len(hs) == 0 {
-		return nil, nil, 0, 0
-	}
-	bounds = hs[0].bounds
-	counts = make([]int64, len(hs[0].counts))
-	for _, h := range hs {
-		cs, t := h.Snapshot()
-		for i := range counts {
-			counts[i] += cs[i]
-		}
-		total += t
-		if m := h.Max(); m > max {
-			max = m
-		}
-	}
-	return bounds, counts, total, max
+// HistSnapshot is a histogram's raw wire form: nanosecond bucket upper
+// bounds, per-bucket counts (the last is the overflow bucket), the
+// observed maximum and the sample sum. Raw buckets are what make a fleet
+// view lossless: shard snapshots sum bucket by bucket and quantiles
+// recompute from the sum, where merging per-shard percentiles would be
+// meaningless.
+type HistSnapshot struct {
+	Bounds []time.Duration `json:"bounds_ns"`
+	Counts []int64         `json:"counts"`
+	Max    time.Duration   `json:"max_ns"`
+	Sum    time.Duration   `json:"sum_ns"`
 }
 
-// HistBody renders a histogram snapshot as its raw wire form:
-// nanosecond bucket bounds, counts (last entry is the overflow bucket),
-// the observed maximum and the sample sum. Raw buckets are what make
-// the fleet view lossless — the router sums counts across shards and
-// recomputes quantiles, instead of averaging per-shard percentiles
-// (meaningless).
-func HistBody(bounds []time.Duration, counts []int64, total int64, max time.Duration) map[string]interface{} {
-	boundsNS := make([]int64, len(bounds))
-	for i, b := range bounds {
-		boundsNS[i] = int64(b)
+// Raw snapshots the histogram. Bounds are shared with the histogram and
+// must not be mutated.
+func (h *Histogram) Raw() HistSnapshot {
+	counts, _ := h.Snapshot()
+	return HistSnapshot{Bounds: h.bounds, Counts: counts, Max: h.Max(), Sum: h.Sum()}
+}
+
+// Total returns the number of samples in the snapshot.
+func (s HistSnapshot) Total() int64 {
+	var total int64
+	for _, c := range s.Counts {
+		total += c
 	}
-	return map[string]interface{}{
-		"bounds_ns": boundsNS,
-		"counts":    counts,
-		"max_ns":    int64(max),
+	return total
+}
+
+// Quantile reads the p-quantile (0 < p <= 1) out of the snapshot.
+func (s HistSnapshot) Quantile(p float64) time.Duration {
+	return Quantile(s.Bounds, s.Counts, s.Total(), s.Max, p)
+}
+
+// Add sums o into s bucket by bucket; a zero s takes o's shape. It
+// refuses, leaving s unchanged, a snapshot whose counts do not fit its
+// own bounds or whose bounds differ from s's: buckets of different
+// shapes cannot be summed.
+func (s *HistSnapshot) Add(o HistSnapshot) error {
+	if len(o.Counts) != len(o.Bounds)+1 {
+		return fmt.Errorf("telemetry: histogram has %d counts for %d bounds", len(o.Counts), len(o.Bounds))
 	}
+	if s.Counts == nil {
+		s.Bounds, s.Counts = o.Bounds, make([]int64, len(o.Counts))
+	} else if !slices.Equal(s.Bounds, o.Bounds) {
+		return errors.New("telemetry: histogram bounds differ")
+	}
+	for i, c := range o.Counts {
+		s.Counts[i] += c
+	}
+	s.Sum += o.Sum
+	s.Max = max(s.Max, o.Max)
+	return nil
 }

@@ -207,19 +207,21 @@ func TraceBody(trackers ...*Tracker) map[string]interface{} {
 func endpointTraceBody(tracks []*EndpointTrack) map[string]interface{} {
 	stages := map[string]interface{}{}
 	for s := Stage(0); s < NumStages; s++ {
-		hs := make([]*Histogram, 0, len(tracks))
+		var sum HistSnapshot
 		for _, e := range tracks {
-			hs = append(hs, e.stages[s])
+			// Every stage histogram has the default bounds, so Add
+			// cannot refuse one.
+			_ = sum.Add(e.stages[s].Raw())
 		}
-		bounds, counts, total, max := Merge(hs)
+		total := sum.Total()
 		if total == 0 {
 			continue
 		}
 		stages[s.String()] = map[string]interface{}{
 			"count":  total,
-			"p50_us": Quantile(bounds, counts, total, max, 0.50).Microseconds(),
-			"p99_us": Quantile(bounds, counts, total, max, 0.99).Microseconds(),
-			"max_us": max.Microseconds(),
+			"p50_us": sum.Quantile(0.50).Microseconds(),
+			"p99_us": sum.Quantile(0.99).Microseconds(),
+			"max_us": sum.Max.Microseconds(),
 		}
 	}
 	var all []Exemplar

@@ -57,7 +57,7 @@ func TestHistogramSanitisesBounds(t *testing.T) {
 
 // TestMergedQuantileEqualsPopulation is the histogram-merge drift
 // property test: a random population scattered across a random number
-// of shard histograms, summed bucket-wise by Merge, must yield exactly
+// of shard histograms, summed bucket-wise by HistSnapshot.Add, must yield exactly
 // the quantiles of the same population recorded into one histogram.
 // This is what licenses the router and the sharded engine to recompute
 // fleet percentiles from summed raw buckets.
@@ -81,12 +81,17 @@ func TestMergedQuantileEqualsPopulation(t *testing.T) {
 			shards[r.Intn(nShards)].Record(d)
 			whole.Record(d)
 		}
-		bounds, counts, total, max := Merge(shards)
-		if total != int64(n) {
+		var sum HistSnapshot
+		for _, h := range shards {
+			if err := sum.Add(h.Raw()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if total := sum.Total(); total != int64(n) {
 			t.Fatalf("trial %d: merged total %d, want %d", trial, total, n)
 		}
 		for _, p := range []float64{0.5, 0.9, 0.99, 0.999, 1} {
-			merged := Quantile(bounds, counts, total, max, p)
+			merged := sum.Quantile(p)
 			wc, wt := whole.Snapshot()
 			pop := Quantile(whole.Bounds(), wc, wt, whole.Max(), p)
 			if merged != pop {
